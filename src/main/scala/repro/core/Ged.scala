@@ -58,6 +58,9 @@ object Ged {
 
   /** Compute GED(g1, g2).
     *
+    * Used g2 nodes are tracked in a 64-bit mask, so g2 may have at most 64
+    * nodes; a larger g2 is rejected rather than answered wrongly.
+    *
     * @param bound  prune states whose optimistic cost exceeds this; if the
     *               true GED exceeds `bound` the result is > `bound` (a
     *               valid lower bound, not the exact distance).
@@ -71,6 +74,7 @@ object Ged {
       useLsa: Boolean = true,
       budget: Int = 2_000_000,
   ): Double = {
+    require(b.n <= 64, s"Ged.ged: g2 has ${b.n} nodes, at most 64 are supported")
     // Process g1 nodes in decreasing degree order: high-degree nodes charge
     // more edge cost early, tightening pruning.
     val order = (0 until a.n).sortBy(v => -a.degree(v)).toArray

@@ -196,6 +196,7 @@ final class MonotonicGbt(
     val posRate = math.min(0.99, math.max(0.01, ys.sum / ys.length))
     base = math.log(posRate / (1 - posRate))
     val raw = Array.fill(ys.length)(base)
+    val search = new SplitSearch(xs)
     var round = 0
     while (round < rounds) {
       val g = new Array[Double](ys.length)
@@ -207,7 +208,7 @@ final class MonotonicGbt(
         h(i) = math.max(1e-6, p * (1 - p))
         i += 1
       }
-      val tree = buildNode(xs, g, h, (0 until ys.length).toArray, depth,
+      val tree = buildNode(search, g, h, (0 until ys.length).toArray, depth,
         lo = Double.NegativeInfinity, hi = Double.PositiveInfinity)
       trees = trees :+ tree
       i = 0
@@ -227,8 +228,90 @@ final class MonotonicGbt(
   private def leafValue(g: Double, h: Double, lo: Double, hi: Double): Double =
     math.min(hi, math.max(lo, -g / (h + lambda)))
 
+  /** Column blocks for one fit (XGBoost's exact greedy layout, Chen &
+    * Guestrin §4.1): feature-major values plus, per feature, the row order
+    * sorted by `java.lang.Double.compare`. The feature matrix is fixed
+    * during a fit, so columns are sorted once here rather than at every
+    * node. The remaining arrays are scratch space for one node's search.
+    */
+  private final class SplitSearch(xs: Array[Array[Double]]) {
+    val nRows: Int = xs.length
+    val nFeatures: Int = xs(0).length
+    val col: Array[Array[Double]] = Array.tabulate(nFeatures) { f =>
+      Array.tabulate(nRows) { i =>
+        val x = xs(i)(f)
+        require(!x.isNaN, s"MonotonicGbt: feature $f of row $i is NaN")
+        x
+      }
+    }
+    val sorted: Array[Array[Int]] =
+      col.map(c => Array.range(0, nRows).sortBy(i => c(i))(Ordering.Double.TotalOrdering))
+
+    val inNode = new Array[Boolean](nRows)
+    val rank = new Array[Int](nRows)      // row -> index of its value in `values`
+    val values = new Array[Double](nRows) // the node's distinct values, ascending
+    val bucket = new Array[Int](nRows)    // value index -> first candidate >= it
+    val cand = new Array[Double](32)
+    val gL = new Array[Double](32)
+    val hL = new Array[Double](32)
+    val nL = new Array[Int](32)
+
+    /** Fill `cand`/`gL`/`hL`/`nL` for feature f over the node's rows (marked
+      * in `inNode`, listed ascending in `idx`); returns the candidate count.
+      *
+      * Candidates: midpoints of adjacent distinct values when there are at
+      * most 33 of them, otherwise 32 quantile values. `gL(k)`/`hL(k)` sum
+      * the rows with `x <= cand(k)` in ascending row order, starting from
+      * 0.0: every candidate receives the same additions in the same order
+      * as a direct scan of `idx`, so its sums are bit-identical. (Prefix
+      * sums over sorted order would reassociate them and change splits.)
+      */
+    def scan(f: Int, idx: Array[Int], g: Array[Double], h: Array[Double]): Int = {
+      val c = col(f)
+      val order = sorted(f)
+      var nd = 0
+      var k = 0
+      while (k < nRows) {
+        val i = order(k)
+        if (inNode(i)) {
+          val x = c(i)
+          if (nd == 0 || values(nd - 1) != x) { // -0.0 and 0.0 are one value
+            values(nd) = x; nd += 1
+          }
+          rank(i) = nd - 1
+        }
+        k += 1
+      }
+      if (nd < 2) return 0
+      val nc = if (nd <= 33) nd - 1 else 32
+      k = 0
+      while (k < nc) {
+        cand(k) = if (nd <= 33) (values(k) + values(k + 1)) / 2 else values((nd - 1) * (k + 1) / 33)
+        gL(k) = 0.0; hL(k) = 0.0; nL(k) = 0
+        k += 1
+      }
+      // Candidates ascend, so x <= cand(k) holds from the value's bucket up.
+      var b = 0
+      var r = 0
+      while (r < nd) {
+        while (b < nc && !(values(r) <= cand(b))) b += 1
+        bucket(r) = b
+        r += 1
+      }
+      var t = 0
+      while (t < idx.length) {
+        val i = idx(t)
+        val gi = g(i); val hi = h(i)
+        k = bucket(rank(i))
+        while (k < nc) { gL(k) += gi; hL(k) += hi; nL(k) += 1; k += 1 }
+        t += 1
+      }
+      nc
+    }
+  }
+
   private def buildNode(
-      xs: Array[Array[Double]], g: Array[Double], h: Array[Double],
+      s: SplitSearch, g: Array[Double], h: Array[Double],
       idx: Array[Int], d: Int, lo: Double, hi: Double,
   ): Node = {
     val gSum = idx.map(g).sum
@@ -236,42 +319,37 @@ final class MonotonicGbt(
     val selfValue = leafValue(gSum, hSum, lo, hi)
     if (d == 0 || idx.length < 2 * minChild) return Leaf(selfValue)
 
-    val nFeatures = xs(0).length
     var bestGain = 0.0
     var bestF = -1; var bestThr = 0.0
+    idx.foreach(i => s.inNode(i) = true)
     var f = 0
-    while (f < nFeatures) {
-      val values = idx.map(i => xs(i)(f)).distinct.sorted
-      if (values.length > 1) {
-        val candidates =
-          if (values.length <= 33) values.sliding(2).map(p => (p(0) + p(1)) / 2).toArray
-          else Array.tabulate(32)(k => values((values.length - 1) * (k + 1) / 33))
-        candidates.foreach { thr =>
-          var gL = 0.0; var hL = 0.0; var nL = 0
-          idx.foreach { i =>
-            if (xs(i)(f) <= thr) { gL += g(i); hL += h(i); nL += 1 }
-          }
-          val nR = idx.length - nL
-          if (nL >= minChild && nR >= minChild) {
-            val gR = gSum - gL; val hR = hSum - hL
-            val gain = gL * gL / (hL + lambda) + gR * gR / (hR + lambda) -
-              gSum * gSum / (hSum + lambda)
-            val monotoneOk =
-              !enforceMonotone || f != pIdx || {
-                // Decreasing in p: the low-p side must not predict lower.
-                leafValue(gL, hL, lo, hi) >= leafValue(gR, hR, lo, hi)
-              }
-            if (gain > bestGain && monotoneOk) {
-              bestGain = gain; bestF = f; bestThr = thr
+    while (f < s.nFeatures) {
+      val nc = s.scan(f, idx, g, h)
+      var k = 0
+      while (k < nc) {
+        val gL = s.gL(k); val hL = s.hL(k); val nL = s.nL(k)
+        val nR = idx.length - nL
+        if (nL >= minChild && nR >= minChild) {
+          val gR = gSum - gL; val hR = hSum - hL
+          val gain = gL * gL / (hL + lambda) + gR * gR / (hR + lambda) -
+            gSum * gSum / (hSum + lambda)
+          val monotoneOk =
+            !enforceMonotone || f != pIdx || {
+              // Decreasing in p: the low-p side must not predict lower.
+              leafValue(gL, hL, lo, hi) >= leafValue(gR, hR, lo, hi)
             }
+          if (gain > bestGain && monotoneOk) {
+            bestGain = gain; bestF = f; bestThr = s.cand(k)
           }
         }
+        k += 1
       }
       f += 1
     }
+    idx.foreach(i => s.inNode(i) = false)
     if (bestF < 0) return Leaf(selfValue)
 
-    val (li, ri) = idx.partition(i => xs(i)(bestF) <= bestThr)
+    val (li, ri) = idx.partition(i => s.col(bestF)(i) <= bestThr)
     if (enforceMonotone && bestF == pIdx) {
       // Bound propagation: children on the low-p side stay >= mid, high-p
       // side stays <= mid, so monotonicity holds across whole subtrees.
@@ -279,12 +357,12 @@ final class MonotonicGbt(
       val wR = leafValue(ri.map(g).sum, ri.map(h).sum, lo, hi)
       val mid = (wL + wR) / 2
       Split(bestF, bestThr,
-        buildNode(xs, g, h, li, d - 1, mid, hi),
-        buildNode(xs, g, h, ri, d - 1, lo, mid))
+        buildNode(s, g, h, li, d - 1, mid, hi),
+        buildNode(s, g, h, ri, d - 1, lo, mid))
     } else {
       Split(bestF, bestThr,
-        buildNode(xs, g, h, li, d - 1, lo, hi),
-        buildNode(xs, g, h, ri, d - 1, lo, hi))
+        buildNode(s, g, h, li, d - 1, lo, hi),
+        buildNode(s, g, h, ri, d - 1, lo, hi))
     }
   }
 }

@@ -81,6 +81,9 @@ final class StreamTuneSession(
   private var pendingPositives = false
   private var processes = 0
 
+  /** Size of the fine-tuning dataset T: warm-up rows plus feedback rows. */
+  def trainingRows: Int = tData.size
+
   // Feedback-derived bounds, valid only under the monotonic assumption an
   // operator observed overloaded at p is a bottleneck at every p' <= p, and
   // one that sustained its full offered rate at p is safe at every p' >= p.

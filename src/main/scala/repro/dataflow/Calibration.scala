@@ -11,22 +11,35 @@ import org.apache.spark.sql.functions._
   */
 object Calibration {
 
-  /** Records/second achieved aggregating `rows` keyed rows at parallelism p. */
+  /** Records/second achieved aggregating `rows` keyed rows at parallelism p.
+    *
+    * The input is generated and cached before any timing, one untimed run
+    * warms up this p, and the rate is the median of three timed runs, so
+    * neither input generation nor a single slow run on a shared box
+    * decides the result.
+    */
   def measuredRate(spark: SparkSession, rows: Long, parallelism: Int, seed: Long = 7): Double = {
-    val df = repro.SynthData.uniformKeys(spark, rows, 10_000, seed)
-      .repartition(parallelism)
-      .groupBy("k")
-      .agg(sum("v") as "s", count(lit(1)) as "c")
-    val t0 = System.nanoTime()
-    df.write.format("noop").mode("overwrite").save()
-    val secs = (System.nanoTime() - t0) / 1e9
-    rows / math.max(1e-9, secs)
+    val input = repro.SynthData.uniformKeys(spark, rows, 10_000, seed).cache()
+    try {
+      input.count()
+      val df = input
+        .repartition(parallelism)
+        .groupBy("k")
+        .agg(sum("v") as "s", count(lit(1)) as "c")
+      def timedSecs(): Double = {
+        val t0 = System.nanoTime()
+        df.write.format("noop").mode("overwrite").save()
+        (System.nanoTime() - t0) / 1e9
+      }
+      timedSecs()
+      val secs = Array.fill(3)(timedSecs()).sorted
+      rows / math.max(1e-9, secs(1))
+    } finally input.unpersist()
   }
 
-  /** (parallelism, records/sec) series across a parallelism sweep. */
-  def sweep(spark: SparkSession, rows: Long, ps: Seq[Int]): Seq[(Int, Double)] = {
-    // Warm-up run so JIT/shuffle setup does not distort the first point.
-    measuredRate(spark, rows / 4, ps.head)
+  /** (parallelism, records/sec) series across a parallelism sweep; every
+    * point is warmed up and repeated by [[measuredRate]].
+    */
+  def sweep(spark: SparkSession, rows: Long, ps: Seq[Int]): Seq[(Int, Double)] =
     ps.map(p => p -> measuredRate(spark, rows, p))
-  }
 }

@@ -115,6 +115,15 @@ class GedSpec extends AnyFunSuite {
     assert(lg.labels.toSet.subsetOf(repro.dataflow.OpType.all.map(_.name).toSet))
   }
 
+  test("graphs over the 64-node mask limit are rejected, not answered wrongly") {
+    def mapChain(n: Int) =
+      LabeledGraph(Vector.fill(n)("map"), (0 until n - 1).map(i => (i, i + 1)).toVector)
+    val err = intercept[IllegalArgumentException](Ged.ged(chainABC, mapChain(65)))
+    assert(err.getMessage.contains("65 nodes"))
+    // 64 nodes is still exact: insert 63 nodes and their 63 edges.
+    assert(Ged.ged(g("map")(), mapChain(64)) == 126.0)
+  }
+
   test("budget exhaustion returns a lower bound, not garbage") {
     val a = LabeledGraph.from(Pqp.threeWayJoin(0).dag)
     val b = LabeledGraph.from(Pqp.threeWayJoin(5).dag)

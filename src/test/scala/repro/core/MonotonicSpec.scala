@@ -20,6 +20,95 @@ object MonotonicFixtures {
     }
 }
 
+/** Fixed, deterministic row sets for the bit-exact `MonotonicGbt` pins.
+  * Each set steers the split search through a different branch.
+  */
+object GbtPinFixtures {
+  val dim = 3
+
+  private def u(parts: Any*): Double = DetRandom.unit(("gbt-pin" +: parts): _*)
+
+  /** Noisy monotone labels: bottleneck below a threshold set by h(0). */
+  private def label(hv: Array[Double], p: Int, i: Int): Int = {
+    val thr = 4 + 30 * hv(0)
+    val clean = if (p < thr) 1 else 0
+    if (u("flip", i) < 0.08) 1 - clean else clean
+  }
+
+  /** At most 33 distinct values in every feature: midpoint candidates. */
+  val fewDistinct: IndexedSeq[TrainRow] = (0 until 300).map { i =>
+    val hv = Array.tabulate(dim)(j => u("few", i % 4, j))
+    val p = 1 + (i * 7) % 30
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** Every row has its own embedding and p spans 1..99: quantile candidates. */
+  val manyDistinct: IndexedSeq[TrainRow] = (0 until 400).map { i =>
+    val hv = Array.tabulate(dim)(j => u("many", i, j))
+    val p = 1 + (u("many-p", i) * 99).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** More than 33 distinct values, but most rows share a handful of them. */
+  val heavyTies: IndexedSeq[TrainRow] = (0 until 500).map { i =>
+    val hv = Array.tabulate(dim) { j =>
+      if (u("tie-h", i, j) < 0.7) 0.5 else math.floor(u("tie-v", i, j) * 50) / 50
+    }
+    val p = if (i % 2 == 0) 8 else 1 + (u("tie-p", i) * 80).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** Row counts at and just above `2 * minChild`. */
+  def nearMinChild(n: Int): IndexedSeq[TrainRow] = (0 until n).map { i =>
+    val hv = Array.tabulate(dim)(j => u("small", i, j))
+    val p = 1 + (u("small-p", i) * 60).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** Labels inverted in p, so unconstrained trees split against the constraint. */
+  val inverted: IndexedSeq[TrainRow] = (0 until 300).map { i =>
+    val hv = Array.tabulate(dim)(j => u("inv", i % 6, j))
+    val p = 1 + (u("inv-p", i) * 99).toInt
+    val noisy = u("inv-flip", i) < 0.1
+    TrainRow(hv, p, if ((p > 50) != noisy) 1 else 0)
+  }
+
+  /** Features holding both -0.0 and 0.0, which are one value to the split
+    * search; `levels` sets how many other values a feature takes.
+    */
+  def signedZeros(levels: Int): IndexedSeq[TrainRow] = (0 until 400).map { i =>
+    val hv = Array.tabulate(dim) { j =>
+      val z = u("zero", levels, i, j)
+      if (z < 0.25) -0.0
+      else if (z < 0.5) 0.0
+      else math.floor(u("zero-v", levels, i, j) * levels) / levels - 0.5
+    }
+    val p = 1 + (u("zero-p", levels, i) * 60).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  val gridH: IndexedSeq[Array[Double]] =
+    IndexedSeq(Array(0.1, 0.5, 0.9), Array(0.5, 0.5, 0.5), Array(0.8, 0.2, 0.4))
+  val gridP: IndexedSeq[Int] = IndexedSeq(1, 3, 8, 20, 55, 100)
+
+  /** Named (model, rows) cases; the spec pins each model's probabilities. */
+  def cases: IndexedSeq[(String, () => MonotonicGbt, IndexedSeq[TrainRow])] = IndexedSeq(
+    ("few distinct", () => new MonotonicGbt(dim), fewDistinct),
+    ("many distinct", () => new MonotonicGbt(dim), manyDistinct),
+    ("heavy ties", () => new MonotonicGbt(dim), heavyTies),
+    ("n = 2 * minChild", () => new MonotonicGbt(dim), nearMinChild(10)),
+    ("n = 3 * minChild, depth 2", () => new MonotonicGbt(dim, minChild = 3, depth = 2), nearMinChild(9)),
+    ("unconstrained", () => new MonotonicGbt(dim, enforceMonotone = false), inverted),
+    ("signed zeros, few distinct", () => new MonotonicGbt(dim), signedZeros(4)),
+    ("signed zeros, many distinct", () => new MonotonicGbt(dim), signedZeros(60)),
+  )
+
+  /** `bottleneckProb` over the (h, p) grid, as raw bits. */
+  def probBits(m: MonotonicGbt): IndexedSeq[Long] =
+    for (hv <- gridH; p <- gridP)
+      yield java.lang.Double.doubleToRawLongBits(m.bottleneckProb(hv, p))
+}
+
 class MonotonicSpec extends AnyFunSuite {
   import MonotonicFixtures._
 
@@ -69,6 +158,87 @@ class MonotonicSpec extends AnyFunSuite {
         assert(m.bottleneckProb(hv, p + 1) <= m.bottleneckProb(hv, p) + 1e-9,
           s"violation at seed=$s p=$p")
       }
+    }
+  }
+
+  test("XGBoost probabilities are pinned bit for bit on fixed row sets") {
+    // Recorded from the reference split search (per-node sort, one scan per
+    // candidate); every split, leaf value and probability must reproduce.
+    val pinned: Map[String, Seq[Long]] = Map(
+      "few distinct" -> Seq(
+        0x3feffffd0bef33deL, 0x3feffa53fd2ddb9bL, 0x3f82ec41c6fbbbf3L,
+        0x3f2aec9a40d15cdfL, 0x3ea67ae5cbf62230L, 0x3ea67ae5cbf62230L,
+        0x3feffffdbe81f958L, 0x3fefffc47582d349L, 0x3feffe6b18c06594L,
+        0x3fb7695c1fb7022eL, 0x3ebc6039d3a549b5L, 0x3ebc6039d3a549b5L,
+        0x3feffffdd3f50268L, 0x3fefffd66f15bc6bL, 0x3fefff38d207f601L,
+        0x3fede7b11c4fbda8L, 0x3f0d3a18104824feL, 0x3f0d3a18104824feL,
+      ),
+      "many distinct" -> Seq(
+        0x3feffdd38a294361L, 0x3feffdd38a294361L, 0x3feffdd38a294361L,
+        0x3fb8bb631b6aabfbL, 0x3f263a767cf6e620L, 0x3ed99a55bfd3e782L,
+        0x3fefffff0f83e447L, 0x3fefffff0f83e447L, 0x3fefffff0f83e447L,
+        0x3fef28d7fb23e9c9L, 0x3f9c934fec366db9L, 0x3f717e5909f8adf3L,
+        0x3fefffff3eb8287fL, 0x3fefffff3eb8287fL, 0x3fefffff3eb8287fL,
+        0x3feec9535def3e6dL, 0x3f5d8e0478646363L, 0x3f31b0d561f3eb91L,
+      ),
+      "heavy ties" -> Seq(
+        0x3fe02d1c3317865aL, 0x3fe02d1c3317865aL, 0x3f79c7090cd6a649L,
+        0x3eb7b45df97af973L, 0x3e7e07f7cead4c4aL, 0x3e7e07f7cead4c4aL,
+        0x3fefffec737bfaffL, 0x3fefffec737bfaffL, 0x3feffda08f4c0ebbL,
+        0x3fb98dc7fc814cb1L, 0x3f47ab850ecb053dL, 0x3f47ab850ecb053dL,
+        0x3fefffff9a12f0afL, 0x3fefffff9a12f0afL, 0x3feffff9709649e1L,
+        0x3fdc580abf76e79aL, 0x3f2beacf0d0b1322L, 0x3f14ca55a6ecf4dfL,
+      ),
+      "n = 2 * minChild" -> Seq(
+        0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL,
+        0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL,
+        0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL,
+        0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL, 0x3ee7de418f2d754dL,
+        0x3fefffe821be70d3L, 0x3fefffe821be70d3L, 0x3fefffe821be70d3L,
+        0x3fefffe821be70d3L, 0x3fefffe821be70d3L, 0x3fefffe821be70d3L,
+      ),
+      "n = 3 * minChild, depth 2" -> Seq(
+        0x3eeeaafb6c4fffe0L, 0x3eeeaafb6c4fffe0L, 0x3eeeaafb6c4fffe0L,
+        0x3eeeaafb6c4fffe0L, 0x3eeeaafb6c4fffe0L, 0x3eeeaafb6c4fffe0L,
+        0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L,
+        0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L,
+        0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L,
+        0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L, 0x3fefffdb495a2b12L,
+      ),
+      "unconstrained" -> Seq(
+        0x3f8e78b57e316a32L, 0x3f8e78b57e316a32L, 0x3fe75098228c64bcL,
+        0x3f11ae4bffcafdd0L, 0x3fee4a8db5cd8a23L, 0x3feffffea21655feL,
+        0x3f798b7f938b8738L, 0x3f798b7f938b8738L, 0x3fe0df7e04c8ebe6L,
+        0x3f11ae4bffcafdd0L, 0x3feffe7173ddfe75L, 0x3feffffe78cd7454L,
+        0x3f7376d4c4ca538dL, 0x3f7376d4c4ca538dL, 0x3fdd61458ffcd849L,
+        0x3ef2cc86ca74a246L, 0x3fefff91258bb043L, 0x3fefffffd8aa1158L,
+      ),
+      "signed zeros, few distinct" -> Seq(
+        0x3fefff7edf14f85cL, 0x3fefa9a94f3d9a19L, 0x3fc332474dd11243L,
+        0x3ed1aaa80139069aL, 0x3ed1aaa80139069aL, 0x3ed1aaa80139069aL,
+        0x3fefffff70e81c7aL, 0x3fefffe34f88768bL, 0x3feffb3c8b725970L,
+        0x3f06dbc0ea84e9ddL, 0x3f06dbc0ea84e9ddL, 0x3f06dbc0ea84e9ddL,
+        0x3fefffff70e81c7aL, 0x3fefffe34f88768bL, 0x3feffb3c8b725970L,
+        0x3f06dbc0ea84e9ddL, 0x3f06dbc0ea84e9ddL, 0x3f06dbc0ea84e9ddL,
+      ),
+      "signed zeros, many distinct" -> Seq(
+        0x3fefff5d4753936bL, 0x3fefff5d4753936bL, 0x3fe62e59384178beL,
+        0x3f92719cae372940L, 0x3f54b385beb30378L, 0x3f23cf2ff1c0ce15L,
+        0x3fefffffca55a9fcL, 0x3fefffffca55a9fcL, 0x3feffff11eafc614L,
+        0x3fa9209371edd380L, 0x3f6d63bf746fa7a2L, 0x3f3c2e5c191ca5eeL,
+        0x3fefff8cc52bac56L, 0x3fefff8cc52bac56L, 0x3fefe02bf396119bL,
+        0x3f5c16b1f143119eL, 0x3f1f6753e24b2d51L, 0x3eee05327e8256e9L,
+      ),
+    )
+    GbtPinFixtures.cases.foreach { case (name, mk, data) =>
+      val m = mk()
+      m.fit(data)
+      val got = GbtPinFixtures.probBits(m)
+      val want = pinned(name)
+      got.zip(want).zipWithIndex.foreach { case ((g, w), k) =>
+        assert(g == w, f"$name grid point $k: got 0x$g%016x want 0x$w%016x")
+      }
+      assert(got.size == want.size)
     }
   }
 

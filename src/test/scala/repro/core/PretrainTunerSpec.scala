@@ -155,10 +155,12 @@ class TunerSpec extends AnyFunSuite {
     val w = Pqp.linear(0)
     val s = session(w)
     val warm = TinyPretrain.pre.assign(w.dag).defaultWarmUpRows.size
+    assert(warm > 0)
+    assert(s.trainingRows == warm)
     s.tuneProcess(4, TuningSession.initialConfig(w))
     s.tuneProcess(8, TuningSession.initialConfig(w))
-    // At least one labeled row per deploy was appended.
+    // Every deploy appends the operators it could label to T.
+    assert(s.trainingRows > warm, s"T stayed at $warm warm-up rows")
     assert(s.model.isInstanceOf[MonotonicSvm]) // sanity on the wiring
-    assert(warm > 0)
   }
 }
