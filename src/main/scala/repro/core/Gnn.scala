@@ -32,7 +32,10 @@ final case class GraphSample(
   def withParallelism(pn: Array[Double]): GraphSample = copy(pNorm = pn)
 }
 
-/** A dense parameter matrix with gradient and Adam moments. */
+/** A dense parameter matrix with its gradient buffer. The Adam moments
+  * are optimizer state: `GnnEncoder.train` owns them for the length of one
+  * call, so a trained encoder keeps only weights and gradients.
+  */
 private[core] final class Param(val rows: Int, val cols: Int, tag: String, seed: Long) {
   private val scale = math.sqrt(2.0 / math.max(1, cols))
   val w: Array[Double] = Array.tabulate(rows * cols) { i =>
@@ -41,9 +44,7 @@ private[core] final class Param(val rows: Int, val cols: Int, tag: String, seed:
     val u2 = DetRandom.unit(seed, tag, i, "u2")
     math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2) * scale
   }
-  val g: Array[Double]  = new Array(rows * cols)
-  val m: Array[Double]  = new Array(rows * cols)
-  val v: Array[Double]  = new Array(rows * cols)
+  val g: Array[Double] = new Array(rows * cols)
 
   @inline def idx(i: Int, j: Int): Int = i * cols + j
 
@@ -89,7 +90,8 @@ private[core] final class Param(val rows: Int, val cols: Int, tag: String, seed:
     while (i < rows) { g(i) += d(i); i += 1 }
   }
 
-  def adamStep(lr: Double, t: Int): Unit = {
+  /** One Adam update from `g` with first/second moments `m`/`v`; clears `g`. */
+  def adamStep(lr: Double, t: Int, m: Array[Double], v: Array[Double]): Unit = {
     val b1 = 0.9; val b2 = 0.999; val eps = 1e-8
     val c1 = 1.0 - math.pow(b1, t); val c2 = 1.0 - math.pow(b2, t)
     var i = 0
@@ -266,6 +268,9 @@ final class GnnEncoder(
     posWeight =
       if (totalPos == 0) 1.0
       else math.min(10.0, math.max(1.0, (totalLabeled - totalPos).toDouble / totalPos))
+    val params = allParams.toArray
+    val ms = params.map(p => new Array[Double](p.w.length))
+    val vs = params.map(p => new Array[Double](p.w.length))
     var step = 0
     var epoch = 0
     val idx = samples.indices.toArray
@@ -285,7 +290,8 @@ final class GnnEncoder(
         batch.foreach { s => loss += backward(s, batchLabeled, batch.length) }
         step += 1
         val lrT = lr / (1.0 + 0.002 * step)
-        allParams.foreach(_.adamStep(lrT, step))
+        var q = 0
+        while (q < params.length) { params(q).adamStep(lrT, step, ms(q), vs(q)); q += 1 }
         off += batchSize
       }
       losses += loss / math.max(1, (idx.length + batchSize - 1) / batchSize)

@@ -56,9 +56,11 @@ object FineTuneModel {
   * axis, with monotonicity (probability non-increasing in p) holding by
   * construction for every h.
   *
-  * `fit` stores the support set and invalidates the per-embedding threshold
-  * cache, so online refits with appended feedback rows are cheap — the
-  * "lightweight prediction layer" property §IV-B asks of M_f.
+  * `fit` sorts the rows by p once (stably) into flat primitive arrays and
+  * invalidates the per-embedding threshold cache; a threshold is then one
+  * distance pass, a k-slot selection of the bandwidth and one sweep in p,
+  * with no per-call sort — the "lightweight prediction layer" property
+  * §IV-B asks of M_f.
   */
 final class MonotonicSvm(
     embedDim: Int,
@@ -69,11 +71,39 @@ final class MonotonicSvm(
   override val name = "SVM"
   override val monotonic = true
 
-  private var rows: Array[TrainRow] = Array.empty
+  // Training rows in ascending p (stable in input order): embeddings
+  // row-major in `hs`, plus per-call scratch for distances and weights.
+  private var n = 0
+  private var hs: Array[Double] = Array.empty
+  private var ps: Array[Int] = Array.empty
+  private var labels: Array[Int] = Array.empty
+  private var d2: Array[Double] = Array.empty
+  private var w: Array[Double] = Array.empty
   private val cache = new java.util.IdentityHashMap[Array[Double], java.lang.Double]()
 
   override def fit(data: IndexedSeq[TrainRow]): Unit = {
-    rows = data.toArray
+    val sorted = data.toArray.sortBy(_.p)
+    n = sorted.length
+    hs = new Array[Double](n * embedDim)
+    ps = new Array[Int](n)
+    labels = new Array[Int](n)
+    var i = 0
+    while (i < n) {
+      val r = sorted(i)
+      require(r.h.length == embedDim, s"training embedding has length ${r.h.length}, expected $embedDim")
+      var j = 0
+      while (j < embedDim) {
+        val x = r.h(j)
+        require(!x.isNaN, "training embedding contains NaN")
+        hs(i * embedDim + j) = x
+        j += 1
+      }
+      ps(i) = r.p
+      labels(i) = r.label
+      i += 1
+    }
+    d2 = new Array[Double](n)
+    w = new Array[Double](n)
     cache.clear()
   }
 
@@ -81,6 +111,7 @@ final class MonotonicSvm(
     * iff pNorm(p) < t(h).
     */
   def threshold(h: Array[Double]): Double = {
+    require(h.length == embedDim, s"query embedding has length ${h.length}, expected $embedDim")
     val cached = cache.get(h)
     if (cached != null) return cached.doubleValue()
     val t = computeThreshold(h)
@@ -89,44 +120,43 @@ final class MonotonicSvm(
   }
 
   private def computeThreshold(h: Array[Double]): Double = {
-    if (rows.isEmpty) return -0.5
-    val n = rows.length
-    val d2 = new Array[Double](n)
+    if (n == 0) return -0.5
     var i = 0
     while (i < n) {
-      var s = 0.0; val hi = rows(i).h; var j = 0
-      while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
+      var s = 0.0; val off = i * embedDim; var j = 0
+      while (j < embedDim) { val d = h(j) - hs(off + j); s += d * d; j += 1 }
       d2(i) = s
       i += 1
     }
     // Adaptive RBF bandwidth: squared distance to the k-th nearest row.
     val k = math.min(kNeighbors, n - 1)
-    val sorted = d2.clone()
-    java.util.Arrays.sort(sorted)
-    val sigma2 = math.max(1e-9, sorted(math.max(0, k - 1)))
-    val w = Array.tabulate(n)(i => math.exp(-d2(i) / (2.0 * sigma2)))
+    val sigma2 = math.max(1e-9, MonotonicSvm.kthSmallest(d2, n, math.max(1, k)))
 
     // Sweep the cut over sorted log-parallelism values; minimize weighted
     // misclassification. label=1 at p_i wants t > pNorm(p_i); label=0 wants
     // t <= pNorm(p_i).
-    val order = (0 until n).sortBy(i => rows(i).p).toArray
-    var err = order.iterator.filter(i => rows(i).label == 1).map(w).sum // t = -inf
+    var err = 0.0 // t = -inf: every label-1 row is misclassified
+    i = 0
+    while (i < n) {
+      w(i) = math.exp(-d2(i) / (2.0 * sigma2))
+      if (labels(i) == 1) err += w(i)
+      i += 1
+    }
     var bestErr = err
     var bestT = -0.5
     var idx = 0
-    while (idx < order.length) {
-      val p = rows(order(idx)).p
+    while (idx < n) {
+      val p = ps(idx)
       // Move the cut just above parallelism p (flip all rows at this p).
-      while (idx < order.length && rows(order(idx)).p == p) {
-        val i2 = order(idx)
-        if (rows(i2).label == 1) err -= w(i2) else err += w(i2)
+      while (idx < n && ps(idx) == p) {
+        if (labels(idx) == 1) err -= w(idx) else err += w(idx)
         idx += 1
       }
       if (err < bestErr - 1e-12) {
         bestErr = err
         bestT =
-          if (idx >= order.length) Features.pNorm(p) + 0.15 // beyond all data
-          else (Features.pNorm(p) + Features.pNorm(rows(order(idx)).p)) / 2.0
+          if (idx >= n) Features.pNorm(p) + 0.15 // beyond all data
+          else (Features.pNorm(p) + Features.pNorm(ps(idx))) / 2.0
       }
     }
     bestT
@@ -135,6 +165,28 @@ final class MonotonicSvm(
   override def bottleneckProb(h: Array[Double], p: Int): Double = {
     val t = threshold(h)
     1.0 / (1.0 + math.exp(-sharpness * (t - Features.pNorm(p))))
+  }
+}
+
+object MonotonicSvm {
+  /** The k-th smallest of `values(0 until n)` (1 <= k <= n): the value
+    * `java.util.Arrays.sort` would put at index k - 1, found by keeping the
+    * k smallest in a sorted buffer under the same total order (NaN last).
+    */
+  private def kthSmallest(values: Array[Double], n: Int, k: Int): Double = {
+    val buf = new Array[Double](k)
+    var size = 0
+    var i = 0
+    while (i < n) {
+      val x = values(i)
+      if (size < k || java.lang.Double.compare(x, buf(k - 1)) < 0) {
+        var j = if (size < k) { size += 1; size - 1 } else k - 1
+        while (j > 0 && java.lang.Double.compare(buf(j - 1), x) > 0) { buf(j) = buf(j - 1); j -= 1 }
+        buf(j) = x
+      }
+      i += 1
+    }
+    buf(k - 1)
   }
 }
 

@@ -109,6 +109,137 @@ object GbtPinFixtures {
       yield java.lang.Double.doubleToRawLongBits(m.bottleneckProb(hv, p))
 }
 
+/** Fixed, deterministic row sets for the bit-exact `MonotonicSvm` pins.
+  * Rows are deliberately not given in p order, and several sets put many
+  * rows, with mixed labels, at one p, so the stable order in p and the
+  * order of every weight addition show in the bits.
+  */
+object SvmPinFixtures {
+  val dim = 3
+
+  private def u(parts: Any*): Double = DetRandom.unit(("svm-pin" +: parts): _*)
+
+  private def randomH(parts: Any*): Array[Double] = Array.tabulate(dim)(j => u((parts :+ j): _*))
+
+  /** Noisy monotone labels: bottleneck below a threshold set by h(0). */
+  private def label(hv: Array[Double], p: Int, i: Int): Int = {
+    val clean = if (p < 4 + 30 * hv(0)) 1 else 0
+    if (u("flip", i) < 0.1) 1 - clean else clean
+  }
+
+  private def mixed(tag: String, n: Int, pMax: Int): IndexedSeq[TrainRow] = (0 until n).map { i =>
+    val hv = randomH(tag, i)
+    val p = 1 + (u(tag, "p", i) * pMax).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  val single: IndexedSeq[TrainRow] = IndexedSeq(TrainRow(Array(0.3, 0.6, 0.1), 7, 1))
+
+  /** Fewer rows than `kNeighbors`, so the bandwidth is the (n - 1)-th neighbour. */
+  val fewRows: IndexedSeq[TrainRow] = mixed("few", 10, 40)
+
+  /** One embedding for every row: querying it gives d2 = 0 everywhere. */
+  val duplicates: IndexedSeq[TrainRow] = (0 until 40).map { i =>
+    val p = 1 + (u("dup-p", i) * 50).toInt
+    TrainRow(Array(0.25, 0.5, 0.75), p, if ((p < 20) != (u("dup-flip", i) < 0.15)) 1 else 0)
+  }
+
+  /** Embeddings on a coarse lattice, so many rows tie at the k-th distance. */
+  val latticeTies: IndexedSeq[TrainRow] = (0 until 120).map { i =>
+    val hv = Array.tabulate(dim)(j => math.floor(u("lat", i, j) * 3) / 2)
+    val p = 1 + (u("lat-p", i) * 60).toInt
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** Most rows at p = 8 with mixed labels; p descends through the rest. */
+  val crowdedP: IndexedSeq[TrainRow] = (0 until 300).map { i =>
+    val hv = randomH("crowd", i % 37)
+    val p = if (u("crowd-p", i) < 0.6) 8 else 90 - (i % 89)
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  val allZero: IndexedSeq[TrainRow] = mixed("zero", 100, 80).map(_.copy(label = 0))
+  val allOne: IndexedSeq[TrainRow]  = mixed("one", 100, 80).map(_.copy(label = 1))
+
+  /** Many rows over few embeddings, p given in descending order. */
+  val descending: IndexedSeq[TrainRow] = (0 until 2000).map { i =>
+    val hv = randomH("desc", i % 60)
+    val p = 100 - i / 20
+    TrainRow(hv, p, label(hv, p, i))
+  }
+
+  /** Rows whose kernel weight against the query (0.5, 0.5, 0.5) is within
+    * 0.2% of the sweep's 1e-12 tie margin, among rows at the query itself
+    * (weight 1; at least 16 of them, so sigma2 = 1e-9) and a few of weight
+    * 1e-1 to 1e-11. Whether a cut wins then turns on the rounding of the
+    * running error, so the order of its additions, including the order of
+    * rows that share a p, shows in the threshold.
+    */
+  def nearMargin(seed: Int): IndexedSeq[TrainRow] = {
+    val pMax = 6 + (u("nm-pmax", seed) * 20).toInt
+    val weights =
+      Seq.fill(18 + (u("nm-n1", seed) * 6).toInt)(1.0) ++
+        Seq.tabulate(6 + (u("nm-n2", seed) * 14).toInt)(i => 1e-12 * (1 + (u("nm-w2", seed, i) - 0.5) * 4e-3)) ++
+        Seq.tabulate((u("nm-n3", seed) * 6).toInt)(i => math.pow(10, -1 - 10 * u("nm-w3", seed, i)))
+    val rows = weights.zipWithIndex.map { case (w, i) =>
+      val hv = Array(0.5, 0.5, 0.5)
+      hv((u("nm-c", seed, i) * dim).toInt) += math.sqrt(-2e-9 * math.log(w))
+      TrainRow(hv, 1 + (u("nm-p", seed, i) * pMax).toInt, if (u("nm-l", seed, i) < 0.5) 1 else 0)
+    }
+    rows.indices.sortBy(i => u("nm-order", seed, i)).map(rows)
+  }
+
+  /** Label-0 rows at the query (0, 0, 0) and rows offset in every
+    * coordinate whose weight is within 1e-14 relative of the 1e-12 margin,
+    * so the last bit of each squared distance, and with it the order of
+    * the per-coordinate additions, shows in the threshold.
+    */
+  def nearMarginSpread(seed: Int): IndexedSeq[TrainRow] = {
+    val pMax = 6 + (u("ms-pmax", seed) * 20).toInt
+    val atQuery = Seq.tabulate(18 + (u("ms-n1", seed) * 6).toInt) { i =>
+      TrainRow(Array(0.0, 0.0, 0.0), 1 + (u("ms-p1", seed, i) * pMax).toInt, 0)
+    }
+    val offset = Seq.tabulate(2 + (u("ms-n2", seed) * 6).toInt) { i =>
+      val d2 = -2e-9 * math.log(1e-12 * (1 + (u("ms-w", seed, i) - 0.5) * 4e-14))
+      val f = Array.tabulate(dim)(j => 0.2 + u("ms-f", seed, i, j))
+      TrainRow(f.map(x => math.sqrt(d2 * x / f.sum)), 1 + (u("ms-p2", seed, i) * pMax).toInt,
+        if (u("ms-l", seed, i) < 0.7) 1 else 0)
+    }
+    val rows = atQuery ++ offset
+    rows.indices.sortBy(i => u("ms-order", seed, i)).map(rows)
+  }
+
+  val freshH: IndexedSeq[Array[Double]] = IndexedSeq(
+    Array(0.1, 0.5, 0.9), Array(0.5, 0.5, 0.5), Array(0.8, 0.2, 0.4), Array(3.0, -2.0, 0.0), Array(0.0, 0.0, 0.0))
+
+  /** Named (model, rows) cases; the spec pins each model's thresholds. */
+  def cases: IndexedSeq[(String, () => MonotonicSvm, IndexedSeq[TrainRow])] = IndexedSeq(
+    ("n = 1", () => new MonotonicSvm(dim), single),
+    ("n <= kNeighbors", () => new MonotonicSvm(dim), fewRows),
+    ("duplicate embeddings", () => new MonotonicSvm(dim), duplicates),
+    ("lattice ties", () => new MonotonicSvm(dim), latticeTies),
+    ("lattice ties, k = 5", () => new MonotonicSvm(dim, kNeighbors = 5), latticeTies),
+    ("crowded p", () => new MonotonicSvm(dim), crowdedP),
+    ("all labels 0", () => new MonotonicSvm(dim), allZero),
+    ("all labels 1", () => new MonotonicSvm(dim), allOne),
+    ("descending p", () => new MonotonicSvm(dim), descending),
+    ("near margin, seed 1389", () => new MonotonicSvm(dim), nearMargin(1389)),
+    ("near margin, seed 2048", () => new MonotonicSvm(dim), nearMargin(2048)),
+    ("near margin spread, seed 1573", () => new MonotonicSvm(dim), nearMarginSpread(1573)),
+    ("near margin spread, seed 2094", () => new MonotonicSvm(dim), nearMarginSpread(2094)),
+  )
+
+  /** Fresh embeddings, then copies of training embeddings (equal content,
+    * new arrays), so every query misses the identity-keyed cache.
+    */
+  def queries(data: IndexedSeq[TrainRow]): IndexedSeq[Array[Double]] =
+    freshH ++ Seq(0, data.size / 2, data.size - 1).map(i => data(i).h.clone())
+
+  /** `threshold` at every query, as raw bits. */
+  def thresholdBits(m: MonotonicSvm, data: IndexedSeq[TrainRow]): IndexedSeq[Long] =
+    queries(data).map(hv => java.lang.Double.doubleToRawLongBits(m.threshold(hv)))
+}
+
 class MonotonicSpec extends AnyFunSuite {
   import MonotonicFixtures._
 
@@ -240,6 +371,97 @@ class MonotonicSpec extends AnyFunSuite {
       }
       assert(got.size == want.size)
     }
+  }
+
+  test("SVM thresholds are pinned bit for bit on fixed row sets") {
+    // Recorded from the reference threshold computation (full sort for the
+    // k-th neighbour, boxed per-call sort by p); every threshold must reproduce.
+    val pinned: Map[String, Seq[Long]] = Map(
+      "n = 1" -> Seq(
+        0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL,
+        0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL, 0x3fefd7d7d845990cL,
+      ),
+      "n <= kNeighbors" -> Seq(
+        0x3ff064cc6b2df00fL, 0x3ff064cc6b2df00fL, 0x3ff46bdd504dec9bL, 0x3ff46bdd504dec9bL,
+        0x3ff064cc6b2df00fL, 0x3ff064cc6b2df00fL, 0x3ff064cc6b2df00fL, 0x3ff064cc6b2df00fL,
+      ),
+      "duplicate embeddings" -> Seq(
+        0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L,
+        0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L, 0x3ff6c2c2c2de3310L,
+      ),
+      "lattice ties" -> Seq(
+        0x3ff0f6ef771a3bf7L, 0x3ff5512fcfe47fc6L, 0x3ff6e5a522f809f7L, 0x3ff5512fcfe47fc6L,
+        0x3febf8940234019eL, 0x3febf8940234019eL, 0x3ff0f6ef771a3bf7L, 0x3ff3e2c1ea4da38aL,
+      ),
+      "lattice ties, k = 5" -> Seq(
+        0x3fd8e69d7377a7feL, 0x3ff5512fcfe47fc6L, 0x3ff7bf73fcf62eb2L, 0x3ff5512fcfe47fc6L,
+        0x3febf8940234019eL, 0x3febf8940234019eL, 0xbfe0000000000000L, 0x3ff3e2c1ea4da38aL,
+      ),
+      "crowded p" -> Seq(
+        0x3febf8940234019eL, 0x3ff49eb40550128eL, 0x3ff7266c9113a234L, 0x3ff680d8b7ca19e8L,
+        0x3ff3e2c1ea4da38aL, 0x3ff49eb40550128eL, 0x3ff49eb40550128eL, 0x3ff3e2c1ea4da38aL,
+      ),
+      "all labels 0" -> Seq(
+        0xbfe0000000000000L, 0xbfe0000000000000L, 0xbfe0000000000000L, 0xbfe0000000000000L,
+        0xbfe0000000000000L, 0xbfe0000000000000L, 0xbfe0000000000000L, 0xbfe0000000000000L,
+      ),
+      "all labels 1" -> Seq(
+        0x40006cba716f00f3L, 0x40006cba716f00f3L, 0x40006cba716f00f3L, 0x40006cba716f00f3L,
+        0x40006cba716f00f3L, 0x40006cba716f00f3L, 0x40006cba716f00f3L, 0x40006cba716f00f3L,
+      ),
+      "descending p" -> Seq(
+        0x3fef4493cb27eafeL, 0x3ff4a3659511cfc8L, 0x3ff746c54fbbc384L, 0x3ff4a3659511cfc8L,
+        0x3febf8940234019eL, 0x3ff214a04ed02b77L, 0x3ff78422ab7facb4L, 0x3febf8940234019eL,
+      ),
+      "near margin, seed 1389" -> Seq(
+        0x3fc34413509f79ffL, 0xbfe0000000000000L, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL,
+        0x3fc34413509f79ffL, 0xbfe0000000000000L, 0xbfe0000000000000L, 0xbfe0000000000000L,
+      ),
+      "near margin, seed 2048" -> Seq(
+        0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L,
+        0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L, 0x3ff054c5b02862b8L,
+      ),
+      "near margin spread, seed 1573" -> Seq(
+        0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL,
+        0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL,
+      ),
+      "near margin spread, seed 2094" -> Seq(
+        0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL,
+        0xbfe0000000000000L, 0xbfe0000000000000L, 0x3fc34413509f79ffL, 0x3fc34413509f79ffL,
+      ),
+    )
+    SvmPinFixtures.cases.foreach { case (name, mk, data) =>
+      val m = mk()
+      m.fit(data)
+      val got = SvmPinFixtures.thresholdBits(m, data)
+      val want = pinned(name)
+      got.zip(want).zipWithIndex.foreach { case ((g, w), k) =>
+        assert(g == w, f"$name query $k: got 0x$g%016x want 0x$w%016x")
+      }
+      assert(got.size == want.size)
+    }
+  }
+
+  test("SVM fit rejects rows whose embedding has the wrong length") {
+    val m = new MonotonicSvm(dim)
+    val short = TrainRow(h(1).take(dim - 1), 4, 1)
+    assertThrows[IllegalArgumentException](m.fit(rows(20) :+ short))
+    val long = TrainRow(h(1) :+ 0.5, 4, 1)
+    assertThrows[IllegalArgumentException](m.fit(rows(20) :+ long))
+  }
+
+  test("SVM fit rejects NaN embeddings") {
+    val m = new MonotonicSvm(dim)
+    val bad = TrainRow(h(1).updated(2, Double.NaN), 4, 1)
+    assertThrows[IllegalArgumentException](m.fit(rows(20) :+ bad))
+  }
+
+  test("SVM threshold rejects queries whose embedding has the wrong length") {
+    val m = new MonotonicSvm(dim)
+    m.fit(rows(20))
+    assertThrows[IllegalArgumentException](m.threshold(h(1).take(dim - 1)))
+    assertThrows[IllegalArgumentException](m.threshold(h(1) :+ 0.5))
+    assertThrows[IllegalArgumentException](m.bottleneckProb(h(1) :+ 0.5, 4))
   }
 
   test("unconstrained GBT on conflicting data CAN violate monotonicity") {
