@@ -1,8 +1,9 @@
 package repro.baselines
 
-import repro.core.{ProcessResult, TuningSession}
+import repro.core.{ProcessResult, TuningLoop, TuningSession}
 import repro.dataflow._
 import repro.workloads.Workload
+import scala.util.chaining._
 
 /** Exact Gaussian-process regression in one dimension (parallelism ->
   * processing ability), RBF kernel, zero prior mean. Small-n (<= ~30
@@ -152,13 +153,9 @@ final class ContTuneSession(
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
     val rates = workload.rates(multiplier, mode)
     measurementEpoch += 1
-    var par = current
-    var reconfigs = 0
-    var obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-    record(obs)
-    var iter = 0
-    var done = false
-    while (!done && iter < TuningSession.maxIter) {
+    def deploy(par: Map[String, Int]) =
+      Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch).tap(record)
+    TuningLoop.run(current, deploy(current), (iter, obs, par) => {
       val req = RateEstimator.requiredRates(dag, rates, obs)
       val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure
       val rec = dag.ops.map { op =>
@@ -170,27 +167,7 @@ final class ContTuneSession(
       }.toMap
       // Settles only on an exact fixed point (the big-small loop redeploys
       // whenever its recommendation changes), like Algorithm 2's test.
-      if (!obs.jobBackpressure && rec == par) done = true
-      else {
-        // Same progress guarantee as DS2: a saturated operator is always
-        // scaled up, whatever the surrogate currently believes.
-        val target =
-          if (obs.jobBackpressure)
-            rec.map { case (id, p) =>
-              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
-              id -> math.min(pMax, math.max(p, floor))
-            }
-          else rec
-        if (target == par) done = true
-        else {
-          par = target
-          reconfigs += 1
-          obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-          record(obs)
-        }
-      }
-      iter += 1
-    }
-    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
+      RateEstimator.nextTarget(rec, par, obs, settled = rec == par, pMax)
+    }, deploy)
   }
 }

@@ -1,14 +1,14 @@
 package repro.baselines
 
-import repro.core.{ProcessResult, TuningSession}
+import repro.core.{ProcessResult, TuningLoop, TuningSession}
 import repro.dataflow._
 import repro.workloads.Workload
 
-/** Shared rate-propagation used by the rate-based tuners: the announced
-  * source rates pushed through the *measured* operator selectivities (the
-  * tuner cannot observe true selectivities — measurement error compounds
-  * along deep DAGs, which is why these methods degrade on structurally
-  * complex queries, §V-D).
+/** What the rate-based tuners (DS2, ContTune) share: the announced source
+  * rates pushed through the *measured* operator selectivities (the tuner
+  * cannot observe true selectivities — measurement error compounds along
+  * deep DAGs, which is why these methods degrade on structurally complex
+  * queries, §V-D), and the step from a recommendation to a deployment.
   */
 object RateEstimator {
   def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
@@ -21,14 +21,22 @@ object RateEstimator {
     req.toMap
   }
 
-  /** Reconfiguration hysteresis: real controllers do not redeploy for a
-    * within-noise change. Stable iff every operator's recommendation is
-    * within max(1, 4%) of its current parallelism.
+  /** The configuration to deploy after observing `obs` at `par`, or None
+    * when `settled` without backpressure or when nothing would change.
+    * Under backpressure the loop must make progress: a saturated
+    * operator's observed throughput per instance is exact, so a detected
+    * bottleneck is always scaled up, never sideways, whatever `rec` says.
     */
-  def withinBand(rec: Map[String, Int], par: Map[String, Int]): Boolean =
-    rec.forall { case (id, p) =>
-      math.abs(p - par(id)) <= math.max(1, math.ceil(0.04 * par(id)).toInt)
-    }
+  def nextTarget(rec: Map[String, Int], par: Map[String, Int], obs: RunResult,
+      settled: Boolean, pMax: Int): Option[Map[String, Int]] = {
+    val target =
+      if (!obs.jobBackpressure) rec
+      else rec.map { case (id, p) =>
+        val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
+        id -> math.min(pMax, math.max(p, floor))
+      }
+    Option.unless((settled && !obs.jobBackpressure) || target == par)(target)
+  }
 }
 
 /** DS2 (Kalavri et al., OSDI'18): assumes processing ability is linear in
@@ -63,12 +71,8 @@ final class Ds2Session(
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
     val rates = workload.rates(multiplier, mode)
     measurementEpoch += 1
-    var par = current
-    var reconfigs = 0
-    var obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-    var iter = 0
-    var done = false
-    while (!done && iter < TuningSession.maxIter) {
+    def deploy(par: Map[String, Int]) = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
+    TuningLoop.run(current, deploy(current), (_, obs, par) => {
       val rec = recommend(rates, obs)
       // Asymmetric fixed-point test: a recommendation *above* the running
       // configuration signals missing capacity and always triggers a
@@ -78,27 +82,7 @@ final class Ds2Session(
       val settled = rec.forall { case (id, p) =>
         p <= par(id) && par(id) - p <= math.max(1, math.ceil(0.02 * par(id)).toInt)
       }
-      if (!obs.jobBackpressure && settled) done = true
-      else {
-        // Under backpressure the loop must make progress: a saturated
-        // operator's observed throughput per instance is exact, so DS2
-        // always scales a detected bottleneck up, never sideways.
-        val target =
-          if (obs.jobBackpressure)
-            rec.map { case (id, p) =>
-              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
-              id -> math.min(pMax, math.max(p, floor))
-            }
-          else rec
-        if (target == par) done = true // no further adjustment available
-        else {
-          par = target
-          reconfigs += 1
-          obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-        }
-      }
-      iter += 1
-    }
-    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
+      RateEstimator.nextTarget(rec, par, obs, settled, pMax)
+    }, deploy)
   }
 }

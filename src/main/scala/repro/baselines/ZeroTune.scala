@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{GnnEncoder, Pretrain, ProcessResult, TuningSession}
+import repro.core.{GnnEncoder, Pretrain, ProcessResult, TuningLoop, TuningSession}
 import repro.dataflow._
 import repro.workloads.Workload
 
@@ -52,8 +52,7 @@ final class ZeroTuneSession(
     }
 
     val rec = dag.ops.zipWithIndex.map { case (op, i) => op.id -> bestP(i) }.toMap
-    val reconfigs = if (rec != current) 1 else 0
-    val run = Simulator.run(dag, rates, rec, mode, simSeed)
-    ProcessResult(rec, reconfigs, if (run.jobBackpressure) 1 else 0, run)
+    TuningLoop.run(current, null, (iter, _, _) => Option.when(iter == 0)(rec),
+      Simulator.run(dag, rates, _, mode, simSeed))
   }
 }

@@ -45,6 +45,40 @@ object TuningSession {
   val maxIter = 4
 }
 
+/** The deploy–observe loop of Algorithm 2 (lines 6-12), shared by every
+  * method. Each iteration, up to [[TuningSession.maxIter]], the method's
+  * `next(iter, latest observation, running configuration)` returns the
+  * configuration to deploy, or None once settled, and its `deploy` runs
+  * the job and absorbs the feedback. `start` is the observation of
+  * `current` the method starts from, or null if its `next` deploys before
+  * observing. A deployment that changes the running configuration counts
+  * as a reconfiguration.
+  */
+object TuningLoop {
+  def run(
+      current: Map[String, Int],
+      start: RunResult,
+      next: (Int, RunResult, Map[String, Int]) => Option[Map[String, Int]],
+      deploy: Map[String, Int] => RunResult,
+  ): ProcessResult = {
+    var par = current
+    var reconfigs = 0
+    var last = start
+    var iter = 0
+    var settled = false
+    while (!settled && iter < TuningSession.maxIter) {
+      next(iter, last, par) match {
+        case Some(target) =>
+          if (target != par) { par = target; reconfigs += 1 }
+          last = deploy(par)
+        case None => settled = true
+      }
+      iter += 1
+    }
+    ProcessResult(par, reconfigs, if (last.jobBackpressure) 1 else 0, last)
+  }
+}
+
 /** StreamTune's online fine-tuning phase (Algorithm 2).
   *
   * On construction: assign the job's DAG to its nearest cluster (line 1),
@@ -74,7 +108,8 @@ final class StreamTuneSession(
 
   private val mode = pretrained.mode
   private val pMax = TuningSession.maxParallelism(mode)
-  val cluster: ClusterModel = pretrained.assign(workload.dag)
+  private val dag  = workload.dag
+  val cluster: ClusterModel = pretrained.assign(dag)
   private val tData = ArrayBuffer[TrainRow]()
   tData ++= cluster.defaultWarmUpRows
   model.fit(fitRows)
@@ -103,7 +138,6 @@ final class StreamTuneSession(
     }
 
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
-    val dag   = workload.dag
     val rates = workload.rates(multiplier, mode)
     val emb   = cluster.encoder.embed(Pretrain.agnosticSample(dag, rates))
     val embOf = dag.ops.map(_.id).zipWithIndex.map { case (id, i) => id -> emb(i) }.toMap
@@ -114,13 +148,7 @@ final class StreamTuneSession(
       pendingPositives = false
     }
 
-    var par = current
-    var reconfigs = 0
-    var prevRec: Map[String, Int] = null
-    var lastRun: RunResult = null
-    var iter = 0
-    var converged = false
-    while (!converged && iter < TuningSession.maxIter) {
+    val res = TuningLoop.run(current, null, (_, last, par) => {
       // Line 6-8: recommend minimum safe parallelism per operator in the
       // DAG's topological order. The model's binary-search answer is
       // reconciled with the feedback bracket [floor, safe]: inside the
@@ -152,60 +180,53 @@ final class StreamTuneSession(
           }
         id -> p
       }.toMap
-      if (prevRec != null && rec == prevRec && lastRun != null && !lastRun.jobBackpressure) {
-        converged = true
-      } else {
-        if (rec != par) { par = rec; reconfigs += 1 }
-        val run = Simulator.run(dag, rates, par, mode, simSeed)
-        // Lines 10-11: collect feedback labels into T, and fold the same
-        // feedback into the monotonicity bounds.
-        val labels = Labeler.label(run)
-        dag.ops.foreach { op =>
-          val l = labels(op.id)
-          if (l >= 0) {
-            tData += TrainRow(embOf(op.id), par(op.id), l)
-            if (l == 1) pendingPositives = true
-          }
-          val m = run.ops(op.id)
-          if (m.overloaded) {
-            val key = (op.id, multiplier)
-            floorMem(key) =
-              math.max(floorMem.getOrElse(key, 1), math.min(pMax, par(op.id) + 1))
-          }
-          if (!run.jobBackpressure) {
-            val key = (op.id, multiplier)
-            safeMem(key) = math.min(safeMem.getOrElse(key, pMax), par(op.id))
-          }
+      // Line 12: settled at a fixed point without backpressure. Otherwise
+      // redeploy, even an unchanged configuration, so that T keeps growing.
+      if (last != null && rec == par && !last.jobBackpressure) None else Some(rec)
+    }, par => {
+      val run = Simulator.run(dag, rates, par, mode, simSeed)
+      // Lines 10-11: collect feedback labels into T, and fold the same
+      // feedback into the monotonicity bounds.
+      val labels = Labeler.label(run)
+      dag.ops.foreach { op =>
+        val l = labels(op.id)
+        if (l >= 0) {
+          tData += TrainRow(embOf(op.id), par(op.id), l)
+          if (l == 1) pendingPositives = true
         }
-        if (pendingPositives) { model.fit(fitRows); pendingPositives = false }
-        lastRun = run
-        prevRec = rec
+        if (run.ops(op.id).overloaded) {
+          val key = (op.id, multiplier)
+          floorMem(key) = math.max(floorMem.getOrElse(key, 1), math.min(pMax, par(op.id) + 1))
+        }
       }
-      iter += 1
-    }
-    if (lastRun == null) lastRun = Simulator.run(dag, rates, par, mode, simSeed)
+      markSafe(run, multiplier)
+      if (pendingPositives) { model.fit(fitRows); pendingPositives = false }
+      run
+    })
 
     // Rescue deployment: if the iteration budget ran out mid-recovery (deep
     // DAGs reveal bottlenecks one frontier at a time), fall back to the
     // composition of known-safe parallelisms — sound under monotonicity
     // (each was observed sustaining its full offered rate at this rate
     // level), hence gated on a monotonic model like the other bounds.
-    if (model.monotonic && lastRun.jobBackpressure) {
+    if (!model.monotonic || !res.finalRun.jobBackpressure) res
+    else {
       val rescue = dag.ops.map { op =>
         op.id -> (
           if (op.opType == OpType.Source) 1
           else safeMem.getOrElse((op.id, multiplier), pMax))
       }.toMap
-      if (rescue != par) { par = rescue; reconfigs += 1 }
-      val run = Simulator.run(dag, rates, par, mode, simSeed)
-      dag.ops.foreach { op =>
-        if (!run.jobBackpressure) {
-          val key = (op.id, multiplier)
-          safeMem(key) = math.min(safeMem.getOrElse(key, pMax), par(op.id))
-        }
-      }
-      lastRun = run
+      val run = Simulator.run(dag, rates, rescue, mode, simSeed)
+      markSafe(run, multiplier)
+      val reconfigs = res.reconfigurations + (if (rescue != res.parallelisms) 1 else 0)
+      ProcessResult(rescue, reconfigs, if (run.jobBackpressure) 1 else 0, run)
     }
-    ProcessResult(par, reconfigs, if (lastRun.jobBackpressure) 1 else 0, lastRun)
   }
+
+  /** A backpressure-free run proves every operator safe at its parallelism. */
+  private def markSafe(run: RunResult, multiplier: Double): Unit =
+    if (!run.jobBackpressure) dag.ops.foreach { op =>
+      val key = (op.id, multiplier)
+      safeMem(key) = math.min(safeMem.getOrElse(key, pMax), run.parallelisms(op.id))
+    }
 }

@@ -123,11 +123,4 @@ class BaselinesSpec extends AnyFunSuite {
       }
     }
   }
-
-  test("withinBand tolerates only small relative changes") {
-    val rec = Map("a" -> 10, "b" -> 50)
-    assert(RateEstimator.withinBand(rec, Map("a" -> 10, "b" -> 51)))
-    assert(RateEstimator.withinBand(rec, Map("a" -> 11, "b" -> 50)))
-    assert(!RateEstimator.withinBand(rec, Map("a" -> 14, "b" -> 50)))
-  }
 }
