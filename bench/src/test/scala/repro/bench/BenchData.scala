@@ -9,8 +9,6 @@ import repro.harness.{PaperTables, WorkloadStats}
   * computed exactly once.
   */
 object BenchData {
-  val cfg: PaperTables.Config = PaperTables.Config()
-
   private def timed[A](tag: String)(f: => A): A = {
     val t0 = System.nanoTime()
     val r  = f
@@ -19,22 +17,22 @@ object BenchData {
   }
 
   lazy val pretrained: Pretrained =
-    timed("Flink pre-training (61 workloads)")(PaperTables.pretrainFlink(cfg))
+    timed("Flink pre-training (61 workloads)")(PaperTables.pretrainFlink())
 
   lazy val zeroTune: GnnEncoder =
-    timed("ZeroTune pre-training (PQP)")(PaperTables.pretrainZeroTune(cfg))
+    timed("ZeroTune pre-training (PQP)")(PaperTables.pretrainZeroTune())
 
   lazy val flinkStats: Vector[WorkloadStats] =
     timed("Flink evaluation (61 workloads x 120 changes)")(
-      PaperTables.flinkEvaluation(pretrained, zeroTune, cfg))
+      PaperTables.flinkEvaluation(pretrained, zeroTune))
 
   lazy val timelyStats: Vector[WorkloadStats] =
     timed("Timely evaluation (Q3/Q5/Q8 x 120 changes)")(
-      PaperTables.timelyEvaluation(cfg))
+      PaperTables.timelyEvaluation())
 
   lazy val ablationStats: Vector[WorkloadStats] =
     timed("Fine-tune model ablation (Q3/Q5/Q8)")(
-      PaperTables.ablation(pretrained, cfg))
+      PaperTables.ablation(pretrained))
 
   def groupMetric(stats: Seq[WorkloadStats], method: String, group: String,
       metric: repro.harness.Evaluation.GroupRow => Double): Double =

@@ -9,7 +9,8 @@ import scala.util.chaining._
   * processing ability), RBF kernel, zero prior mean. Small-n (<= ~30
   * observations) direct Cholesky solve.
   */
-final class Gp(lengthScale: Double = 0.15, noiseSd: Double = 0.05) {
+final class Gp(noiseSd: Double = 0.05) {
+  private val lengthScale: Double = 0.15
   private var xs: Array[Double] = Array.empty
   private var ys: Array[Double] = Array.empty
   private var chol: Array[Array[Double]] = _
@@ -89,13 +90,9 @@ final class Gp(lengthScale: Double = 0.15, noiseSd: Double = 0.05) {
   * smallest p whose lower confidence bound on processing ability covers the
   * (measured-selectivity-propagated) required rate.
   */
-final class ContTuneSession(
-    workload: Workload,
-    mode: SimMode,
-    beta: Double = 1.0,
-    simSeed: Long = 7,
-) extends TuningSession {
+final class ContTuneSession(workload: Workload, mode: SimMode) extends TuningSession {
   override val methodName = "ContTune"
+  private val beta: Double = 1.0
   private val pMax = TuningSession.maxParallelism(mode)
   private val dag  = workload.dag
 
@@ -154,7 +151,7 @@ final class ContTuneSession(
     val rates = workload.rates(multiplier, mode)
     measurementEpoch += 1
     def deploy(par: Map[String, Int]) =
-      Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch).tap(record)
+      Simulator.run(dag, rates, par, mode, noiseEpoch = measurementEpoch).tap(record)
     TuningLoop.run(current, deploy(current), (iter, obs, par) => {
       val req = RateEstimator.requiredRates(dag, rates, obs)
       val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure

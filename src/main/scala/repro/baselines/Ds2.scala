@@ -45,11 +45,7 @@ object RateEstimator {
   * recommendation stabilizes. No use of history — every rate change starts
   * from fresh measurements (§VI).
   */
-final class Ds2Session(
-    workload: Workload,
-    mode: SimMode,
-    simSeed: Long = 7,
-) extends TuningSession {
+final class Ds2Session(workload: Workload, mode: SimMode) extends TuningSession {
   override val methodName = "DS2"
   private val pMax = TuningSession.maxParallelism(mode)
   private val dag  = workload.dag
@@ -71,7 +67,7 @@ final class Ds2Session(
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
     val rates = workload.rates(multiplier, mode)
     measurementEpoch += 1
-    def deploy(par: Map[String, Int]) = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
+    def deploy(par: Map[String, Int]) = Simulator.run(dag, rates, par, mode, noiseEpoch = measurementEpoch)
     TuningLoop.run(current, deploy(current), (_, obs, par) => {
       val rec = recommend(rates, obs)
       // Asymmetric fixed-point test: a recommendation *above* the running

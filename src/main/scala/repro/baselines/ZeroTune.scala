@@ -14,16 +14,12 @@ import repro.workloads.Workload
   * objective ignores resource usage, so it systematically overprovisions
   * (§V-C), and it is only applicable to the PQP queries it was built for.
   */
-final class ZeroTuneSession(
-    encoder: GnnEncoder,
-    workload: Workload,
-    mode: SimMode,
-    samples: Int = 300,
-    sampleMaxP: Int = 80,
-    seed: Long = 31,
-    simSeed: Long = 7,
-) extends TuningSession {
+final class ZeroTuneSession(encoder: GnnEncoder, workload: Workload, mode: SimMode)
+    extends TuningSession {
   override val methodName = "ZeroTune"
+  private val samples: Int = 300
+  private val sampleMaxP: Int = 80
+  private val seed: Long = 31
   private val dag = workload.dag
   private var processCounter = 0L
 
@@ -53,6 +49,6 @@ final class ZeroTuneSession(
 
     val rec = dag.ops.zipWithIndex.map { case (op, i) => op.id -> bestP(i) }.toMap
     TuningLoop.run(current, null, (iter, _, _) => Option.when(iter == 0)(rec),
-      Simulator.run(dag, rates, _, mode, simSeed))
+      Simulator.run(dag, rates, _, mode))
   }
 }

@@ -12,6 +12,8 @@ import repro.dataflow.DetRandom
   */
 object Clustering {
 
+  private val maxIter: Int = 10
+
   final case class Result(
       centers: Vector[Int],              // indices into `graphs`
       assignment: Vector[Int],           // graph index -> cluster id
@@ -57,7 +59,6 @@ object Clustering {
       graphs: IndexedSeq[LabeledGraph],
       k: Int,
       tau: Double = 5.0,
-      maxIter: Int = 10,
       seed: Long = 3,
   ): Result = {
     require(k >= 1 && k <= graphs.size, s"k=$k out of range for ${graphs.size} graphs")

@@ -167,7 +167,7 @@ object Ged {
     }
 
     /** Cost to insert all still-unused g2 nodes at a complete state. */
-    def completionCost(mapping: List[Int], used: Long): Double = {
+    def completionCost(used: Long): Double = {
       val unused = (0 until b.n).filter(v => (used & (1L << v)) == 0)
       if (unused.isEmpty) return 0.0
       val unusedSet = unused.toSet
@@ -190,7 +190,7 @@ object Ged {
         // unused g2 node (and its incident edges), which the admissible
         // bound only partially covers — so record it and keep searching
         // until the frontier can no longer beat it.
-        val total = s.g + completionCost(s.mapping, s.used)
+        val total = s.g + completionCost(s.used)
         if (total < best) best = total
       } else {
         expansions += 1

@@ -29,7 +29,6 @@ final case class GraphSample(
     jobCost: Double,
 ) {
   def n: Int = x.length
-  def withParallelism(pn: Array[Double]): GraphSample = copy(pNorm = pn)
 }
 
 /** A dense parameter matrix with its gradient buffer. The Adam moments
@@ -122,10 +121,10 @@ final class GnnEncoder(
     val inputDim: Int,
     val hidden: Int = 16,
     val layers: Int = 4,
-    val headHidden: Int = 8,
     val objective: Gnn.Objective = Gnn.BottleneckClassification,
     seed: Long = 42,
 ) {
+  private val headHidden: Int = 8
   private val w0 = new Param(hidden, inputDim, "w0", seed)
   private val b0 = new Param(hidden, 1, "b0", seed)
   private val ws = Array.tabulate(layers)(t => new Param(hidden, hidden, s"ws$t", seed))
@@ -251,17 +250,16 @@ final class GnnEncoder(
     */
   private var posWeight = 1.0
 
+  /** Adam learning rate (decayed per step) and minibatch size of `train`. */
+  private val lr: Double = 3e-3
+  private val batchSize: Int = 16
+
   /** Minibatch training with deterministic shuffling. Returns the mean loss
     * at each epoch. Minibatching matters here: the threshold structure is
     * learned from sparse binary labels, and the optimizer needs many more
     * steps than full-batch epochs would give it.
     */
-  def train(
-      samples: IndexedSeq[GraphSample],
-      epochs: Int,
-      lr: Double = 3e-3,
-      batchSize: Int = 16,
-  ): Vector[Double] = {
+  def train(samples: IndexedSeq[GraphSample], epochs: Int): Vector[Double] = {
     val losses = Vector.newBuilder[Double]
     val totalPos     = samples.map(_.labels.count(_ == 1)).sum
     val totalLabeled = math.max(1, samples.map(_.labels.count(_ >= 0)).sum)

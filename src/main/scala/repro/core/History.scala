@@ -72,11 +72,7 @@ object History {
     * operators are labeled by the CPU threshold (lines 8-16); runs without
     * job-level backpressure label every operator 0 (lines 2-6).
     */
-  def labelWithSpark(
-      metrics: DataFrame,
-      edges: DataFrame,
-      threshold: Double = SimConstants.cpuThreshold,
-  ): DataFrame = {
+  def labelWithSpark(metrics: DataFrame, edges: DataFrame): DataFrame = {
     val m = metrics.alias("m")
     val e = edges.alias("e")
     val down = metrics.select(
@@ -115,7 +111,7 @@ object History {
         "left_outer")
       .withColumn("sqlLabel",
         when(!col("jobBackpressure"), lit(0))
-          .when(col("x_op").isNotNull && col("utilization") > threshold, lit(1))
+          .when(col("x_op").isNotNull && col("utilization") > SimConstants.cpuThreshold, lit(1))
           .when(col("x_op").isNotNull, lit(0))
           .otherwise(lit(-1)))
       .drop("x_job", "x_run", "x_op")

@@ -65,11 +65,11 @@ object FineTuneModel {
 final class MonotonicSvm(
     embedDim: Int,
     kNeighbors: Int = 16,
-    sharpness: Double = 60.0, // logistic slope per log10-parallelism unit
-    seed: Long = 13,
 ) extends FineTuneModel {
   override val name = "SVM"
   override val monotonic = true
+
+  private val sharpness: Double = 60.0 // logistic slope per log10-parallelism unit
 
   // Training rows in ascending p (stable in input order): embeddings
   // row-major in `hs`, plus per-call scratch for distances and weights.
@@ -203,13 +203,14 @@ final class MonotonicGbt(
     embedDim: Int,
     rounds: Int = 30,
     depth: Int = 3,
-    lr: Double = 0.3,
-    lambda: Double = 1.0,
     minChild: Int = 5,
     enforceMonotone: Boolean = true,
 ) extends FineTuneModel {
   override val name = if (enforceMonotone) "XGBoost" else "GBT-unconstrained"
   override val monotonic: Boolean = enforceMonotone
+
+  private val lr: Double = 0.3
+  private val lambda: Double = 1.0
 
   private val pIdx = embedDim // feature index of parallelism
 
@@ -424,15 +425,14 @@ final class MonotonicGbt(
   * mode is structural (non-monotone decision boundary makes the binary
   * search unsound), not capacity.
   */
-final class PlainNn(
-    embedDim: Int,
-    hidden: Int = 16,
-    epochs: Int = 40,
-    lr: Double = 0.05,
-    seed: Long = 29,
-) extends FineTuneModel {
+final class PlainNn(embedDim: Int) extends FineTuneModel {
   override val name = "NN"
   override val monotonic = false
+
+  private val hidden: Int = 16
+  private val epochs: Int = 40
+  private val lr: Double = 0.05
+  private val seed: Long = 29
 
   private val inDim = embedDim + 1
   private def g(tag: String, i: Int): Double = {

@@ -23,16 +23,18 @@ final case class ClusterModel(
     encoder: GnnEncoder,
     history: Vector[HistoryRun],
 ) {
-  /** ConstructWarmUpDataset: embed sampled cluster history through the
-    * frozen encoder; rows are (parallelism-agnostic embedding, parallelism,
-    * label) for every labeled operator. Capped for fine-tuning efficiency.
-    */
   /** Cached default warm-up set — sessions for every workload in the same
     * cluster share it instead of re-embedding the whole cluster history.
     */
   lazy val defaultWarmUpRows: Vector[TrainRow] = warmUpRows()
 
-  def warmUpRows(cap: Int = 8000, seed: Long = 5): Vector[TrainRow] = {
+  private val seed: Long = 5
+
+  /** ConstructWarmUpDataset: embed sampled cluster history through the
+    * frozen encoder; rows are (parallelism-agnostic embedding, parallelism,
+    * label) for every labeled operator. Capped for fine-tuning efficiency.
+    */
+  def warmUpRows(cap: Int = 8000): Vector[TrainRow] = {
     val rows = Vector.newBuilder[TrainRow]
     history.foreach { h =>
       val sample = Pretrain.toSample(h)
@@ -82,11 +84,7 @@ object Pretrain {
   /** Build a [[GraphSample]] from a labeled history run. */
   def toSample(h: HistoryRun): GraphSample = {
     val dag = h.run.dag
-    val idx = dag.ops.map(_.id).zipWithIndex.toMap
-    GraphSample(
-      x = Features.encodeDag(dag, h.run.sourceRates),
-      upstream = dag.ops.map(op => dag.upstream(op.id).map(idx).toArray).toArray,
-      downstream = dag.ops.map(op => dag.downstream(op.id).map(idx).toArray).toArray,
+    agnosticSample(dag, h.run.sourceRates).copy(
       pNorm = dag.ops.map(op => Features.pNorm(h.run.parallelisms(op.id))).toArray,
       labels = dag.ops.map(op => h.labels(op.id)).toArray,
       jobCost = jobCost(h.run),

@@ -100,11 +100,11 @@ final class StreamTuneSession(
     pretrained: Pretrained,
     workload: Workload,
     val model: FineTuneModel,
-    refitEvery: Int = 10,
-    fitCap: Int = 9000,
-    simSeed: Long = 7,
 ) extends TuningSession {
   override val methodName = s"StreamTune(${model.name})"
+
+  private val refitEvery: Int = 10
+  private val fitCap: Int = 9000
 
   private val mode = pretrained.mode
   private val pMax = TuningSession.maxParallelism(mode)
@@ -184,7 +184,7 @@ final class StreamTuneSession(
       // redeploy, even an unchanged configuration, so that T keeps growing.
       if (last != null && rec == par && !last.jobBackpressure) None else Some(rec)
     }, par => {
-      val run = Simulator.run(dag, rates, par, mode, simSeed)
+      val run = Simulator.run(dag, rates, par, mode)
       // Lines 10-11: collect feedback labels into T, and fold the same
       // feedback into the monotonicity bounds.
       val labels = Labeler.label(run)
@@ -216,7 +216,7 @@ final class StreamTuneSession(
           if (op.opType == OpType.Source) 1
           else safeMem.getOrElse((op.id, multiplier), pMax))
       }.toMap
-      val run = Simulator.run(dag, rates, rescue, mode, simSeed)
+      val run = Simulator.run(dag, rates, rescue, mode)
       markSafe(run, multiplier)
       val reconfigs = res.reconfigurations + (if (rescue != res.parallelisms) 1 else 0)
       ProcessResult(rescue, reconfigs, if (run.jobBackpressure) 1 else 0, run)

@@ -104,7 +104,7 @@ object GbtPinFixtures {
   )
 
   /** `bottleneckProb` over the (h, p) grid, as raw bits. */
-  def probBits(m: MonotonicGbt): IndexedSeq[Long] =
+  def probBits(m: FineTuneModel): IndexedSeq[Long] =
     for (hv <- gridH; p <- gridP)
       yield java.lang.Double.doubleToRawLongBits(m.bottleneckProb(hv, p))
 }
@@ -371,6 +371,26 @@ class MonotonicSpec extends AnyFunSuite {
       }
       assert(got.size == want.size)
     }
+  }
+
+  test("NN probabilities are pinned bit for bit on a fixed row set") {
+    // Pins the NN's fixed width, epochs, learning rate and seed: every
+    // initial weight and every update must reproduce.
+    val want: Seq[Long] = Seq(
+      0x3fef0fa014892608L, 0x3fedbfab314ba919L, 0x3fdc49ec9ac1d017L,
+      0x3f840f419c156d75L, 0x3f00e10a3ac89378L, 0x3eb29fcfed68deb0L,
+      0x3fef006a16aeb1a1L, 0x3fee62c5cef90bb0L, 0x3fed6b8696f44836L,
+      0x3fc505b2715974a0L, 0x3f432b8d294b15faL, 0x3ef528eb94d7a3c8L,
+      0x3feedcbf4f10df6fL, 0x3fee7902d708fd46L, 0x3fedf214e3a09d4aL,
+      0x3fe6c8306736ffa4L, 0x3f8b63484a8528d1L, 0x3f3e9bceb9fc30cfL,
+    )
+    val m = new PlainNn(GbtPinFixtures.dim)
+    m.fit(GbtPinFixtures.fewDistinct)
+    val got = GbtPinFixtures.probBits(m)
+    got.zip(want).zipWithIndex.foreach { case ((g, w), k) =>
+      assert(g == w, f"grid point $k: got 0x$g%016x want 0x$w%016x")
+    }
+    assert(got.size == want.size)
   }
 
   test("SVM thresholds are pinned bit for bit on fixed row sets") {

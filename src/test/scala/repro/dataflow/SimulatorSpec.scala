@@ -181,6 +181,24 @@ class SimulatorSpec extends AnyFunSuite {
     assert(latGood.forall(_ > 0))
   }
 
+  test("epoch latencies are pinned bit for bit") {
+    // Pins the fixed epoch count and jitter seed: epochs 1, 2, 50 and 100
+    // of a backpressured and a healthy run.
+    val d = chain()
+    val cases = Seq(
+      ("backpressured", Simulator.run(d, Map("src" -> 5e6), par(d, 1), SimMode.Flink),
+        Seq(0x3fd7a1f4e1e47946L, 0x3fdfc8c29fe32969L, 0x401a7f03b3d9e8f2L, 0x4028472be5a36c07L)),
+      ("backpressure-free", Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink),
+        Seq(0x3fcf82ae134c41c7L, 0x3fcfc8d503eb4c0dL, 0x3fd04e3318fa4643L, 0x3fce777fee32e8b9L)),
+    )
+    cases.foreach { case (name, run, want) =>
+      val lat = Simulator.epochLatencies(run)
+      assert(lat.size == 100)
+      val got = Seq(0, 1, 49, 99).map(e => java.lang.Double.doubleToRawLongBits(lat(e)))
+      assert(got == want, f"$name: got ${got.map(g => f"0x$g%016x")} want ${want.map(w => f"0x$w%016x")}")
+    }
+  }
+
   test("run is fully deterministic") {
     val d = TestDags.diamond
     val r1 = Simulator.run(d, Map("s1" -> 1e4, "s2" -> 1e4), par(d, 3), SimMode.Flink)
